@@ -704,7 +704,7 @@ def figures_main(argv: List[str]) -> int:
         choices=("exact", "fast"),
         default=None,
         help="replay engine: 'exact' per-reference simulator or the "
-             "bit-identical batched 'fast' engine "
+             "bit-identical native C 'fast' core "
              "(default: $REPRO_ENGINE, else fast)",
     )
     _add_logging_flags(parser)
@@ -1308,7 +1308,7 @@ def perf_main(argv: List[str]) -> int:
                             "(0 disables; default 3)")
         p.add_argument("--engine", choices=("exact", "fast"), default=None,
                        help="replay engine: 'exact' per-reference simulator or "
-                            "the bit-identical batched 'fast' engine "
+                            "the bit-identical native C 'fast' core "
                             "(default: $REPRO_ENGINE, else fast)")
         _add_logging_flags(p)
 

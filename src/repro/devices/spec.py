@@ -8,17 +8,39 @@ the per-core memory models with shared-level capacity partitioning.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from repro.errors import DeviceError
 from repro.memsim.cache import Cache
-from repro.memsim.columnar import FastHierarchy, fast_cache, supports_fast
+from repro.memsim.columnar import supports_fast
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
 from repro.memsim.tlb import TlbSpec
 
 LINE_SIZE = 64
+
+LOG = logging.getLogger("repro.devices")
+
+#: Set once the "native core unavailable" fallback has been logged.
+_FALLBACK_WARNED = False
+
+
+def _native_or_warn() -> bool:
+    """Is the native core usable?  If not, log why once per process."""
+    global _FALLBACK_WARNED
+    from repro.memsim.native import native_available, native_status
+
+    if native_available():
+        return True
+    if not _FALLBACK_WARNED:
+        _FALLBACK_WARNED = True
+        LOG.warning(
+            "fast engine unavailable, replaying with the exact engine: "
+            "native core %s", native_status(),
+        )
+    return False
 
 
 @dataclass(frozen=True)
@@ -118,12 +140,11 @@ class DeviceSpec:
 
         ``engine`` selects the replay implementation: ``"exact"`` builds
         the per-reference :class:`~repro.memsim.hierarchy.MemoryHierarchy`;
-        ``"fast"`` the bit-identical batched engine — the runtime-compiled
-        C core (:class:`~repro.memsim.native.NativeHierarchy`) when a
-        toolchain is available and ``REPRO_NATIVE`` allows it, else the
-        pure-Python :class:`~repro.memsim.columnar.FastHierarchy`.
-        Devices with a replacement policy the fast engine does not model
-        (``plru`` ablations) silently fall back to exact hierarchies.
+        ``"fast"`` the bit-identical runtime-compiled C core
+        (:class:`~repro.memsim.native.NativeHierarchy`).  ``"fast"`` falls
+        back to exact hierarchies for a device with a replacement policy
+        the C core does not model (``plru`` ablations), and, with one
+        logged warning per process, when the C core cannot be built.
         """
         if not 1 <= active_cores <= self.cores:
             raise DeviceError(
@@ -133,36 +154,23 @@ class DeviceSpec:
             raise DeviceError(
                 f"{self.key}: unknown engine {engine!r}; pick 'exact' or 'fast'"
             )
-        fast = engine == "fast" and supports_fast(
-            [spec.policy for spec in self.caches]
+        native = (
+            engine == "fast"
+            and supports_fast([spec.policy for spec in self.caches])
+            and _native_or_warn()
         )
-        if fast:
-            from repro.memsim.native import native_available, native_cache, NativeHierarchy
+        if native:
+            from repro.memsim.native import NativeHierarchy, native_cache
 
-            native = native_available()
+            make_cache = native_cache
+            hierarchy_cls = NativeHierarchy
+        else:
+            make_cache = Cache
+            hierarchy_cls = MemoryHierarchy
         out = []
         for _core in range(active_cores):
-            if fast:
-                build_cache = native_cache if native else fast_cache
-                caches = [
-                    build_cache(
-                        spec.name,
-                        spec.per_core_size(active_cores),
-                        spec.ways,
-                        LINE_SIZE,
-                        spec.policy,
-                    )
-                    for spec in self.caches
-                ]
-                hierarchy_cls = NativeHierarchy if native else FastHierarchy
-                out.append(
-                    hierarchy_cls(
-                        caches, prefetch=self.prefetch, tlb=self.tlb, line_size=LINE_SIZE
-                    )
-                )
-                continue
             caches = [
-                Cache(
+                make_cache(
                     spec.name,
                     spec.per_core_size(active_cores),
                     spec.ways,
@@ -172,7 +180,7 @@ class DeviceSpec:
                 for spec in self.caches
             ]
             out.append(
-                MemoryHierarchy(caches, prefetch=self.prefetch, tlb=self.tlb, line_size=LINE_SIZE)
+                hierarchy_cls(caches, prefetch=self.prefetch, tlb=self.tlb, line_size=LINE_SIZE)
             )
         return out
 

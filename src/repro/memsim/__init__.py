@@ -7,9 +7,11 @@
 * :mod:`repro.memsim.tlb` — two-level Sv39-style TLBs;
 * :mod:`repro.memsim.dram` — DRAM traffic counters;
 * :mod:`repro.memsim.hierarchy` — the composed per-core hierarchy;
-* :mod:`repro.memsim.columnar` — the batched columnar replay engine
+* :mod:`repro.memsim.native` — the runtime-compiled C replay core
   (``REPRO_ENGINE=fast``, the default), bit-identical to the exact
   per-reference loop;
+* :mod:`repro.memsim.columnar` — replay-engine selection (exact or
+  fast);
 * :mod:`repro.memsim.stats` — snapshot/delta statistics;
 * :mod:`repro.memsim.pmu` — the simulated PMU: 3C miss attribution,
   per-set conflict histograms and prefetch-accuracy counters.
@@ -21,11 +23,6 @@ from repro.memsim.columnar import (
     ENGINE_EXACT,
     ENGINE_FAST,
     FAST_POLICIES,
-    FastHierarchy,
-    FastLruCache,
-    FastRandomCache,
-    FastTlb,
-    fast_cache,
     resolve_engine,
     supports_fast,
 )
@@ -61,10 +58,6 @@ __all__ = [
     "ENGINE_EXACT",
     "ENGINE_FAST",
     "FAST_POLICIES",
-    "FastHierarchy",
-    "FastLruCache",
-    "FastRandomCache",
-    "FastTlb",
     "HierarchySnapshot",
     "LevelPmu",
     "LevelSnapshot",
@@ -84,7 +77,6 @@ __all__ = [
     "U74_PREFETCH",
     "XEON_PREFETCH",
     "add_counters",
-    "fast_cache",
     "make_policy",
     "resolve_engine",
     "set_indices",

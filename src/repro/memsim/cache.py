@@ -32,9 +32,8 @@ def set_indices(lines, num_sets: int, mask: Optional[int]) -> List[int]:
     """Vectorizable counterpart of :meth:`Cache.set_index` over a batch.
 
     Applies exactly the mask/modulo rule :func:`set_mask` encodes to a
-    whole sequence of line addresses (the columnar engine's per-segment
-    batches).  Kept next to the scalar rule so a geometry change cannot
-    make the two paths disagree.
+    whole sequence of line addresses.  Kept next to the scalar rule so a
+    geometry change cannot make the two forms disagree.
     """
     if mask is not None:
         return [line & mask for line in lines]
@@ -135,8 +134,8 @@ class Cache:
 
     def set_index(self, line: int) -> int:
         """Set a line maps to — the one mask/modulo rule (:func:`set_mask`),
-        shared by :meth:`access`, the hierarchy's writeback path and (in
-        batch form, :func:`set_indices`) the columnar engine."""
+        shared by :meth:`access` and the hierarchy's writeback path (batch
+        form: :func:`set_indices`)."""
         mask = self._set_mask
         return line & mask if mask is not None else line % self.num_sets
 

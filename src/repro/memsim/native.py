@@ -1,9 +1,8 @@
-"""Runtime-compiled C core for the fast replay engine.
+"""Runtime-compiled C core: the fast replay engine.
 
-The batched columnar engine (:mod:`repro.memsim.columnar`) removed the
-per-reference Python call chain, but its scalar fallbacks — per-op dict
-replay of conflicting set groups, the per-op PMU observation loop — are
-still interpreter-bound.  This module compiles those loops to C at first
+The exact simulator (:mod:`repro.memsim.hierarchy`) walks every distinct
+line of every segment through every cache level one ``Cache.access``
+call at a time.  This module compiles the same semantics to C at first
 use and drives them over NumPy op columns:
 
 * ``lru_batch`` / ``rand_batch`` — per-set array replay of one op batch
@@ -18,12 +17,11 @@ use and drives them over NumPy op columns:
 * ``assemble`` — construction of the next level's op stream (dirty
   eviction installs preceding demand probes, source order preserved).
 
-Everything is semantics-for-semantics the same as the pure-Python fast
-engine, which remains both the oracle's twin and the fallback: the
-toolchain is probed once, and any failure (no compiler, no cffi, a
-read-only tree) silently selects the Python classes.  ``REPRO_NATIVE=0``
-forces the fallback explicitly (the differential tests use it to cover
-all three engines).
+Every counter is bit-identical to the exact engine, which stays the
+oracle (``tests/test_fast_engine.py``).  The toolchain is probed once;
+when it fails (no C compiler, a read-only tree) ``native_available()``
+is false and ``DeviceSpec.build_hierarchies`` falls back to exact
+hierarchies with one logged warning.
 
 Compilation uses cffi in ABI (``dlopen``) mode — a plain shared object
 built with the system C compiler, no Python headers or setuptools
@@ -37,31 +35,26 @@ from __future__ import annotations
 import hashlib
 import os
 import subprocess
-import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.exec.trace import Segment
 from repro.memsim.cache import CacheStats, set_mask
-from repro.memsim.columnar import _NP_MIN, _PRNG_SEED
-
-# The compiled replay loops make per-op cost tiny, so the economics differ
-# from the pure-Python engine: the dominant cost is the *fixed* numpy/ffi
-# overhead per drained batch.  Buffer aggressively — segments of any size
-# accumulate until the op buffer reaches ``_BUF_OPS`` — and only bypass the
-# buffer for segments at least that large themselves (one drain's fixed
-# cost amortized over >= _BUF_OPS ops is noise, and buffering them would
-# only grow peak memory).
-_BUF_OPS = 32768
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
+from repro.memsim.replacement import RANDOM_SEED
 from repro.memsim.tlb import PAGE_SIZE, TlbSpec
 
-#: Environment variable gating the native core ("0"/"off"/"no" disables).
-NATIVE_ENV = "REPRO_NATIVE"
+# The compiled replay loops make per-op cost tiny, so the dominant cost is
+# the *fixed* numpy/ffi overhead per drained batch.  Buffer aggressively —
+# segments of any size accumulate until the op buffer reaches ``_BUF_OPS``
+# — and only bypass the buffer for segments at least that large themselves
+# (one drain's fixed cost amortized over >= _BUF_OPS ops is noise, and
+# buffering them would only grow peak memory).
+_BUF_OPS = 32768
 
 #: Environment variable overriding the build cache directory.
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
@@ -122,7 +115,7 @@ _C_SRC = r"""
 /* Floor division / positive modulo: C truncates toward zero, Python
  * floors — line and page numbers can be negative (traces may address
  * below the origin), so every set index must go through pmod to match
- * the Python engines' non-negative `%`. */
+ * the exact engine's non-negative `%`. */
 static int64_t fdiv(int64_t a, int64_t b)
 {
     int64_t q = a / b;
@@ -144,8 +137,8 @@ static int64_t pmod(int64_t a, int64_t b)
 
 /* ---- set-associative LRU replay ------------------------------------- */
 /* Per set: lines in LRU order (slot 0 = victim, slot occ-1 = MRU) plus a
- * parallel dirty byte; identical observable behaviour to the ordered-dict
- * state of the Python fast engine. */
+ * parallel dirty byte; identical observable behaviour to the exact
+ * engine's LRU policy. */
 
 void lru_batch(int64_t num_sets, int64_t ways, int64_t mask,
                int64_t *ln, uint8_t *dy, int32_t *occ,
@@ -869,16 +862,12 @@ def _selftest(ffi, lib) -> None:
 
 
 def native_available() -> bool:
-    """Is the compiled core usable (and not disabled via ``REPRO_NATIVE``)?"""
-    if os.environ.get(NATIVE_ENV, "").strip().lower() in ("0", "off", "no"):
-        return False
+    """Is the compiled core usable?"""
     return _load() is not None
 
 
 def native_status() -> str:
     """Human-readable availability (``repro perf``/debugging)."""
-    if os.environ.get(NATIVE_ENV, "").strip().lower() in ("0", "off", "no"):
-        return "disabled (REPRO_NATIVE)"
     if _load() is not None:
         return "available"
     return f"unavailable ({_STATE['error']})"
@@ -918,7 +907,6 @@ class _NativeCacheBase:
         self._ln = np.full(self.num_sets * ways, -1, dtype=np.int64)
         self._dy = np.zeros(self.num_sets * ways, dtype=np.uint8)
         self._occ = np.zeros(self.num_sets, dtype=np.int32)
-        self.skips: Dict[str, int] = {"resident": 0, "streaming": 0, "replayed": 0}
 
     def set_index(self, line: int) -> int:
         mask = self._set_mask
@@ -947,7 +935,6 @@ class _NativeCacheBase:
         self._ln.fill(-1)
         self._dy.fill(0)
         self._occ.fill(0)
-        self.skips = {"resident": 0, "streaming": 0, "replayed": 0}
 
     def access(self, line: int, is_write: bool):
         """Scalar compatibility shim over :meth:`process_batch`."""
@@ -956,8 +943,18 @@ class _NativeCacheBase:
         return bool(hits[0]), None if ev < 0 else ev
 
     def process_batch(self, lines, probe, fill):
-        """Same contract as ``FastLruCache.process_batch`` with array
-        outputs (``evict`` uses ``-1`` for "none")."""
+        """Replay one op batch at this level.
+
+        ``lines`` is the op line addresses in stream order; ``probe`` is
+        ``None`` (every op is a demand probe) or a parallel flag array
+        where 0 marks a writeback install from the level above; ``fill``
+        is the dirty bit a probe fill acquires — one bool, or a parallel
+        per-op array.
+
+        Returns ``(hits, missed, evict)`` arrays parallel to ``lines``:
+        probe hit / install-found-present flags, fill-allocated flags,
+        and the dirty line evicted by each op (``INT64_MIN`` if none).
+        """
         arr = lines if isinstance(lines, np.ndarray) else np.asarray(lines, dtype=np.int64)
         n = len(arr)
         hits = np.empty(n, dtype=np.uint8)
@@ -984,7 +981,6 @@ class _NativeCacheBase:
         stats.misses += int(st[1])
         stats.fills += int(st[2])
         stats.writebacks += int(st[3])
-        self.skips["replayed"] += n
         return hits, missed, evict
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -1017,11 +1013,11 @@ class NativeRandomCache(_NativeCacheBase):
 
     def __init__(self, name: str, size_bytes: int, ways: int, line_size: int = 64):
         super().__init__(name, size_bytes, ways, line_size)
-        self._rand_state = _PRNG_SEED
+        self._rand_state = RANDOM_SEED
 
     def reset(self) -> None:
         super().reset()
-        self._rand_state = _PRNG_SEED
+        self._rand_state = RANDOM_SEED
 
     def _batch(self, arr, probe, fill_arr, fill_u, hits, missed, evict, st) -> None:
         self._rand_state = int(
@@ -1135,7 +1131,7 @@ class NativeHierarchy(MemoryHierarchy):
     """Memory hierarchy driving the compiled replay core.
 
     Same construction contract, counters, flush and snapshot behaviour
-    as the exact hierarchy and the Python fast engine; segments small
+    as the exact hierarchy; segments small
     enough to buffer are concatenated into cross-segment op batches with
     per-segment TLB/PMU bookkeeping deferred to the (order-preserving)
     drain, so the per-segment Python overhead is a few appends.
@@ -1189,16 +1185,6 @@ class NativeHierarchy(MemoryHierarchy):
     def flush(self) -> None:
         self._drain_buffer()
         super().flush()
-
-    def skip_counts(self) -> Dict[str, int]:
-        """Ops replayed per disposition (the native core replays every
-        op, so everything lands under ``replayed``)."""
-        self._drain_buffer()
-        total = {"resident": 0, "streaming": 0, "replayed": 0}
-        for cache in self.caches:
-            for key, value in cache.skips.items():
-                total[key] += value
-        return total
 
     # -- segment intake ------------------------------------------------------
 
@@ -1342,7 +1328,6 @@ class NativeHierarchy(MemoryHierarchy):
             stats.misses += int(st[1])
             stats.fills += int(st[2])
             stats.writebacks += int(st[3])
-            cache.skips["replayed"] += n
             if pmu is not None:
                 self._pmu_batch(
                     pmu, level, cache, lines, probe, hits, missed,

@@ -59,10 +59,15 @@ class LruPolicy(ReplacementPolicy):
         order.append(way)
 
 
+#: Default xorshift64 seed of :class:`RandomPolicy` (the native core's
+#: random-replacement loop starts from the same state).
+RANDOM_SEED = 0x9E3779B97F4A7C15
+
+
 class RandomPolicy(ReplacementPolicy):
     """Uniform-random victim selection with a deterministic xorshift64 PRNG."""
 
-    def __init__(self, num_sets: int, ways: int, seed: int = 0x9E3779B97F4A7C15):
+    def __init__(self, num_sets: int, ways: int, seed: int = RANDOM_SEED):
         super().__init__(num_sets, ways)
         self._state = seed or 1
 

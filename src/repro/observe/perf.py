@@ -63,10 +63,8 @@ class PerfCell:
     refs: List[Dict[str, Any]] = field(default_factory=list)
     ir_lines: List[Any] = field(default_factory=list)
     # Observability only (not part of the baseline counter contract):
-    # which replay engine ran and how many line operations each fast-path
-    # skip class absorbed (``resident``/``streaming``/``replayed``).
+    # which replay engine ran.
     engine: str = ""
-    engine_skips: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -127,7 +125,6 @@ def run_perf(
         refs=_merge_refs(result),
         ir_lines=[list(pair) for pair in program_lines(program)],
         engine=result.engine,
-        engine_skips=dict(result.engine_skips),
     )
 
 
@@ -286,18 +283,6 @@ def _stat_rows(cell: PerfCell) -> List[Any]:
             f"{_fmt(counters.get('pmu.prefetch.late', 0))} late"
         )
     rows.append((issued, "prefetch.lines", comment))
-    if cell.engine_skips:
-        skip_total = sum(cell.engine_skips.values()) or 1
-        for path in ("resident", "streaming", "replayed"):
-            count = cell.engine_skips.get(path, 0)
-            share = 100.0 * count / skip_total
-            rows.append(
-                (
-                    count,
-                    f"engine.{path}",
-                    f"{share:.1f}% of line ops ({cell.engine} engine)",
-                )
-            )
     return rows
 
 

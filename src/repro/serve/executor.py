@@ -61,13 +61,11 @@ def execute_job(task: Dict[str, Any]) -> Dict[str, Any]:
             "duration_s": 0.0,
             "record": None,
             "source": "",
-            "engine_skips": {},
         }
 
 
 def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
     from repro.devices.catalog import get_device
-    from repro.memsim.columnar import process_skip_totals
     from repro.profiling.profile import build_profile_program
 
     runner = _runner_for(task.get("cache_path"))
@@ -97,16 +95,9 @@ def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
         task.get("scale", 1), task.get("n"), task.get("block"),
         task.get("filter_size"),
     )
-    skips_before = process_skip_totals()
     outcome = runner.run_supervised(
         key, lambda: program, device, policy=policy, **sim_kwargs
     )
-    skips_after = process_skip_totals()
-    engine_skips = {
-        path: skips_after[path] - skips_before.get(path, 0)
-        for path in skips_after
-        if skips_after[path] - skips_before.get(path, 0)
-    }
     source = "simulated"
     if "memory-cache hit" in outcome.reason:
         source = "memory-cache"
@@ -119,7 +110,6 @@ def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
         "duration_s": outcome.duration_s,
         "record": dataclasses.asdict(outcome.value) if outcome.ok else None,
         "source": source,
-        "engine_skips": engine_skips,
     }
 
 
@@ -159,7 +149,6 @@ class JobExecutor:
                 "duration_s": 0.0,
                 "record": None,
                 "source": "",
-                "engine_skips": {},
             }
 
     def close(self) -> None:

@@ -25,7 +25,7 @@ from repro.exec.trace import CoreWork, RefInfo
 from repro.exec.tracegen import TraceGenerator
 from repro.ir.program import Program
 from repro.ir.stmt import For, walk_stmts
-from repro.memsim.columnar import SKIP_PATHS, account_skips, resolve_engine
+from repro.memsim.columnar import resolve_engine
 from repro.memsim.pmu import Pmu
 from repro.memsim.stats import HierarchySnapshot, snapshot
 from repro.profiling import tracer
@@ -54,11 +54,9 @@ class SimulationResult:
     # by ``repro perf annotate`` to map counters back onto IR statements.
     pmus: List[Pmu] = field(default_factory=list)
     ref_table: Dict[int, RefInfo] = field(default_factory=dict)
-    # Observability only: which replay engine ran and how many line
-    # operations each fast-path skip class absorbed.  Never part of the
+    # Observability only: which replay engine ran.  Never part of the
     # counter contract — snapshots/records stay engine-independent.
     engine: str = ""
-    engine_skips: Dict[str, int] = field(default_factory=dict)
 
     @property
     def dram_bytes(self) -> int:
@@ -131,10 +129,11 @@ def simulate(
         contents and timing are byte-for-byte identical with it off.
     engine:
         Replay engine: ``"exact"`` (the per-reference oracle loop) or
-        ``"fast"`` (the batched columnar engine, bit-identical on every
+        ``"fast"`` (the runtime-compiled C core, bit-identical on every
         counter).  ``None`` resolves ``REPRO_ENGINE``, defaulting to
-        ``fast``.  Devices whose replacement policies the fast engine
-        does not model fall back to exact hierarchies automatically.
+        ``fast``.  Devices whose replacement policies the C core does not
+        model, and hosts where it cannot be built, fall back to exact
+        hierarchies automatically.
     """
     if repetitions < 1:
         raise SimulationError("repetitions must be >= 1")
@@ -198,17 +197,6 @@ def simulate(
         finals = [snapshot(h) for h in hierarchies]
         deltas = [final - base for final, base in zip(finals, baselines)]
 
-        engine_skips: Dict[str, int] = {}
-        for hierarchy in hierarchies:
-            counts_fn = getattr(hierarchy, "skip_counts", None)
-            if counts_fn is None:
-                continue
-            for path, value in counts_fn().items():
-                if path in SKIP_PATHS and value:
-                    engine_skips[path] = engine_skips.get(path, 0) + int(value)
-        if engine_skips:
-            account_skips(engine_skips)
-
         timing = time_run(device, works, deltas, active_cores)
     return SimulationResult(
         program_name=program.name,
@@ -221,5 +209,4 @@ def simulate(
         pmus=pmus,
         ref_table=generator.references() if pmu else {},
         engine=engine,
-        engine_skips=engine_skips,
     )

@@ -1,5 +1,5 @@
 """The performance regression observatory: statistics, harness, trend
-store, gate, engine skip-path counters, and noise-floor baselines.
+store, gate, replay-engine selection, and noise-floor baselines.
 
 The statistical core is property-tested (the CI must contain the median,
 outlier rejection must respect its cap, ``compare`` must be symmetric);
@@ -445,80 +445,71 @@ def test_fault_plan_parses_tracegen_slow():
     assert not FaultPlan().any_active
 
 
-# -- engine skip-path counters ------------------------------------------------
+# -- replay engine selection --------------------------------------------------
 
 
-def test_fast_cache_closed_form_paths_are_counted():
-    from repro.memsim.columnar import FastLruCache
-
-    cache = FastLruCache("L1", 64 * 64, ways=64, line_size=64)  # one set
-    lines = list(range(32))
-    cache.process_batch(lines, None, False)
-    assert cache.skips["streaming"] == 32 and cache.skips["resident"] == 0
-    cache.process_batch(lines, None, False)
-    assert cache.skips["resident"] == 32
-    cache.process_batch([1, 2], None, False)
-    assert cache.skips["replayed"] == 2
-
-
-def test_simulate_reports_engine_skips_and_process_totals():
+def test_simulate_reports_engine():
     from repro.devices.catalog import get_device
     from repro.kernels import transpose as tr
-    from repro.memsim.columnar import process_skip_totals
     from repro.simulate import simulate
 
-    before = process_skip_totals()
-    result = simulate(
-        tr.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="fast"
-    )
-    after = process_skip_totals()
-    assert result.engine == "fast"
-    assert sum(result.engine_skips.values()) > 0
-    grown = {
-        path: after[path] - before.get(path, 0) for path in after
-    }
-    for path, count in result.engine_skips.items():
-        assert grown.get(path, 0) >= count
+    device = get_device("mango_pi_d1").scaled(16)
+    fast = simulate(tr.build("Naive", 64), device, engine="fast")
+    exact = simulate(tr.build("Naive", 64), device, engine="exact")
+    assert fast.engine == "fast" and exact.engine == "exact"
+    assert fast.seconds == exact.seconds
+    assert fast.snapshots == exact.snapshots
 
-    exact = simulate(
-        tr.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="exact"
-    )
-    assert exact.engine == "exact" and exact.engine_skips == {}
+
+def test_fast_engine_falls_back_to_exact_without_native(monkeypatch, caplog):
+    import repro.memsim.native as native
+    from repro.devices import spec
+    from repro.devices.catalog import get_device
+    from repro.kernels import transpose as tr
+    from repro.memsim.hierarchy import MemoryHierarchy
+    from repro.simulate import simulate
+
+    monkeypatch.setattr(native, "native_available", lambda: False)
+    monkeypatch.setattr(spec, "_FALLBACK_WARNED", False)
+    device = get_device("visionfive_jh7100")
+    with caplog.at_level("WARNING", logger="repro.devices"):
+        for _ in range(2):
+            hierarchies = device.build_hierarchies(2, engine="fast")
+            assert [type(h) for h in hierarchies] == [MemoryHierarchy] * 2
+    warnings = [r for r in caplog.records if r.name == "repro.devices"]
+    assert len(warnings) == 1
+    assert "exact engine" in warnings[0].getMessage()
+
+    program = tr.build("Naive", 64)
+    small = device.scaled(16)
+    fast = simulate(program, small, pmu=True, engine="fast")
+    exact = simulate(program, small, pmu=True, engine="exact")
+    assert fast.seconds == exact.seconds
+    assert fast.snapshots == exact.snapshots
+    for a, b in zip(fast.pmus, exact.pmus):
+        assert dict(a.counters()) == dict(b.counters())
+        assert [lvl.per_ref for lvl in a.levels] == [lvl.per_ref for lvl in b.levels]
 
 
 def test_perf_stat_surfaces_skip_counters():
+    """``perf stat`` names the engine that ran; it has no skip-path rows
+    because the fast engine (the native core) replays every op."""
+    from repro.observe.openmetrics import render_openmetrics
     from repro.observe.perf import _stat_rows, render_stat, run_perf
 
     cell = run_perf("transpose", "Naive", "mango_pi_d1", n=64)
     assert cell.engine in ("fast", "exact")
-    if cell.engine != "fast":
-        pytest.skip("fast engine not active")
-    assert sum(cell.engine_skips.values()) > 0
     names = [name for _value, name, _comment in _stat_rows(cell)]
-    assert {"engine.resident", "engine.streaming", "engine.replayed"} <= set(names)
-    rendered = render_stat(cell)
-    assert "engine.replayed" in rendered and "% of line ops" in rendered
-
-    from repro.observe.openmetrics import render_openmetrics
-
+    assert "tlb.walks" in names
+    assert not [name for name in names if name.startswith("engine.")]
+    assert "tlb.walks" in render_stat(cell)
     exposition = render_openmetrics([cell])
-    assert 'repro_engine_skip_ops_total' in exposition
-    assert 'path="replayed"' in exposition
-
-
-def test_serve_metrics_accumulate_engine_skips():
-    from repro.serve.metrics import ServeMetrics
-
-    metrics = ServeMetrics()
-    metrics.record_engine_skips({"replayed": 10, "resident": 2})
-    metrics.record_engine_skips({"replayed": 5})
-    metrics.record_engine_skips(None)
-    assert metrics.engine_skips == {"replayed": 15, "resident": 2}
-    exposition = metrics.render()
-    assert 'repro_serve_engine_skip_ops_total{path="replayed"} 15' in exposition
+    assert "repro_tlb_walks_total" in exposition
+    assert "skip" not in exposition
 
 
 def test_executor_reports_engine_skip_deltas(tmp_path):
+    """A fast-engine serve job completes, and a repeat is a cache hit."""
     from repro.serve.executor import execute_job, reset_runners
 
     reset_runners()
@@ -529,12 +520,12 @@ def test_executor_reports_engine_skip_deltas(tmp_path):
     }
     result = execute_job(task)
     assert result["outcome"] == "completed"
-    assert sum(result["engine_skips"].values()) > 0
-    # A cache hit re-executes nothing, so the delta is empty.
+    assert result["source"] == "simulated"
     reset_runners()
     cached = execute_job(task)
     assert cached["outcome"] == "completed"
-    assert cached["engine_skips"] == {}
+    assert cached["source"] == "disk-cache"
+    assert cached["record"] == result["record"]
 
 
 # -- noise-floor baselines ----------------------------------------------------
