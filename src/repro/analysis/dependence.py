@@ -10,9 +10,14 @@ Three complementary mechanisms:
   the iteration space.
 * **Concrete enumeration** (cross-check oracle): exhaustively execute the
   iteration space, recording which iteration of a candidate parallel loop
-  touches which elements.  Exact but budget-limited; when the space
-  exceeds the budget the oracle is *skipped* (the symbolic proof stands on
-  its own) rather than failing the certification.
+  touches which elements.  Exact but budget-limited.  The budget is
+  decided in closed form *before* any walk: :func:`access_count` sums the
+  accesses the walk would record over the affine loop bounds, in a cost
+  that does not grow with the iteration space, and stops once the total
+  passes the budget.  When the space exceeds the budget the oracle is
+  *skipped* (the symbolic proof stands on its own) rather than failing
+  the certification; otherwise the walk runs, visiting only the
+  candidate loop and the loops enclosing it.
 
 The transform passes call :func:`certify_parallel` /
 :func:`certify_interchange`; see ``tests/test_dependence.py`` and the
@@ -26,11 +31,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.summation import capped_sum_over_range
 from repro.errors import AnalysisError
 from repro.ir.affine import Affine
 from repro.ir.expr import loads_in
 from repro.ir.program import Program
-from repro.ir.stmt import Block, For, LocalAssign, Stmt, Store, find_loop
+from repro.ir.stmt import Block, For, LocalAssign, Stmt, Store, find_loop, loops_in
 
 MAX_CERTIFY_POINTS = 2_000_000
 
@@ -122,60 +128,101 @@ def may_alias(a_indices, b_indices) -> bool:
 # Concrete certification
 # ---------------------------------------------------------------------------
 
-def _enclosing_vars(stmt: Stmt, var: str, path: Tuple[str, ...] = ()) -> Optional[Tuple[str, ...]]:
-    """Variables of the loops enclosing the loop named ``var`` (outside-in),
-    or ``None`` if no such loop exists."""
+def _path_to_loop(stmt: Stmt, var: str) -> Optional[Tuple[Stmt, ...]]:
+    """The statements from ``stmt`` down to the loop named ``var``
+    (inclusive, outside-in), or ``None`` if no such loop exists."""
+    if isinstance(stmt, For) and stmt.var == var:
+        return (stmt,)
     if isinstance(stmt, Block):
-        for child in stmt.stmts:
-            found = _enclosing_vars(child, var, path)
-            if found is not None:
-                return found
+        children: Tuple[Stmt, ...] = stmt.stmts
+    elif isinstance(stmt, For):
+        children = (stmt.body,)
+    else:
         return None
-    if isinstance(stmt, For):
-        if stmt.var == var:
-            return path
-        return _enclosing_vars(stmt.body, var, path + (stmt.var,))
+    for child in children:
+        found = _path_to_loop(child, var)
+        if found is not None:
+            return (stmt,) + found
     return None
+
+
+class _Scope:
+    """What the walker and the counter visit for one candidate loop.
+
+    Outside the candidate loop only the loops on the path down to it
+    matter: every other statement there runs outside the parallel region,
+    separated from its iterations by the implicit barrier, so it cannot
+    race, and no loop off the path encloses the candidate.  With no
+    candidate (``var is None``) the whole program is in scope."""
+
+    def __init__(self, program: Program, var: Optional[str]):
+        self.var = var
+        path = (_path_to_loop(program.body, var) or ()) if var is not None else ()
+        self.on_path = frozenset(path)
+        self.enclosing = tuple(s.var for s in path[:-1] if isinstance(s, For))
+        self._loads: Dict[Stmt, tuple] = {}
+        self._varies: Dict[For, bool] = {}
+
+    def reaches(self, stmt: Stmt, env: Dict[str, int]) -> bool:
+        """Whether ``stmt``, run under ``env``, is inside the candidate
+        loop or on the path to it."""
+        return self.var is None or self.var in env or stmt in self.on_path
+
+    def global_loads(self, stmt: Stmt) -> tuple:
+        """Loads of ``stmt`` the oracle records.  Thread-local scratch is
+        privatized per OpenMP thread; cross-iteration sharing is a
+        scheduling artifact, not a data dependence (see
+        kernels.transpose.manual_blocking)."""
+        loads = self._loads.get(stmt)
+        if loads is None:
+            loads = self._loads[stmt] = tuple(
+                load for load in loads_in(stmt.value) if load.array.scope == "global"
+            )
+        return loads
+
+    def leaf_accesses(self, stmt: Stmt) -> int:
+        """Counter increments of one execution of a ``Store`` /
+        ``LocalAssign``: one per global load, plus one for a global store
+        (also when it accumulates)."""
+        stored = isinstance(stmt, Store) and stmt.array.scope == "global"
+        return len(self.global_loads(stmt)) + stored
+
+    def trips_vary(self, loop: For) -> bool:
+        """Whether the body's iteration count depends on ``loop.var``
+        (subscripts never change a count; only nested loop bounds do)."""
+        varies = self._varies.get(loop)
+        if varies is None:
+            varies = self._varies[loop] = any(
+                loop.var in inner.lo.variables or loop.var in inner.hi.variables
+                for inner in loops_in(loop.body)
+            )
+        return varies
 
 
 def _accesses(
     stmt: Stmt,
     env: Dict[str, int],
-    loop_var: str,
+    scope: _Scope,
     out: List[Access],
     counter: List[int],
-    budget: int,
-    enclosing: Tuple[str, ...] = (),
 ) -> None:
+    if not scope.reaches(stmt, env):
+        return
     if isinstance(stmt, Block):
         for child in stmt.stmts:
-            _accesses(child, env, loop_var, out, counter, budget, enclosing)
+            _accesses(child, env, scope, out, counter)
         return
     if isinstance(stmt, For):
         for value in stmt.iter_values(env):
             env[stmt.var] = value
-            _accesses(stmt.body, env, loop_var, out, counter, budget, enclosing)
+            _accesses(stmt.body, env, scope, out, counter)
         env.pop(stmt.var, None)
         return
     if isinstance(stmt, (Store, LocalAssign)):
-        if loop_var is not None and loop_var not in env:
-            # Outside the candidate loop: separated from its iterations by
-            # the parallel region's implicit barrier — cannot race.
-            return
-        loop_value = env.get(loop_var, 0) if loop_var is not None else 0
-        outer = tuple(env[v] for v in enclosing)
-        for load in loads_in(stmt.value):
-            if load.array.scope != "global":
-                # Thread-local scratch is privatized per OpenMP thread;
-                # cross-iteration sharing is a scheduling artifact, not a
-                # data dependence (see kernels.transpose.manual_blocking).
-                continue
+        loop_value = env.get(scope.var, 0) if scope.var is not None else 0
+        outer = tuple(env[v] for v in scope.enclosing)
+        for load in scope.global_loads(stmt):
             counter[0] += 1
-            if counter[0] > budget:
-                raise EnumerationBudgetError(
-                    f"iteration space too large to certify (> {budget} accesses); "
-                    "certify at a smaller size of the same kernel family"
-                )
             out.append(
                 Access(
                     load.array.name,
@@ -196,6 +243,63 @@ def _accesses(
     raise AnalysisError(f"unknown statement {stmt!r}")
 
 
+def _walk(program: Program, var: Optional[str]) -> List[Access]:
+    """Every access the oracle records, in program order."""
+    accesses: List[Access] = []
+    _accesses(program.body, {}, _Scope(program, var), accesses, [0])
+    return accesses
+
+
+def access_count(program: Program, var: Optional[str] = None, cap: float = math.inf) -> int:
+    """How many accesses the oracle's walk of ``program`` would count for
+    candidate loop ``var`` (``None``: the whole program, as
+    :func:`execution_order_signature` walks it) — without walking.
+
+    Exact when the count is at most ``cap``; otherwise it stops as soon as
+    the running total passes ``cap`` and returns that partial total.  A
+    loop whose body's trip counts ignore its variable costs one body
+    count times its trips; any other loop is summed in closed form
+    (:func:`~repro.analysis.summation.capped_sum_over_range`), so the cost
+    does not grow with the iteration space.
+    """
+    scope = _Scope(program, var)
+
+    def count(stmt: Stmt, env: Dict[str, int]) -> int:
+        if not scope.reaches(stmt, env):
+            return 0
+        if isinstance(stmt, Block):
+            total = 0
+            for child in stmt.stmts:
+                total += count(child, env)
+                if total > cap:
+                    break
+            return total
+        if isinstance(stmt, For):
+            lo, hi = stmt.lo.evaluate(env), stmt.hi.evaluate(env)
+
+            def body_at(value: int) -> int:
+                return count(stmt.body, {**env, stmt.var: value})
+
+            if scope.trips_vary(stmt):
+                return capped_sum_over_range(body_at, lo, hi, stmt.step, cap)
+            trips = stmt.trip_count(env)
+            return trips * body_at(lo) if trips else 0
+        if isinstance(stmt, (Store, LocalAssign)):
+            return scope.leaf_accesses(stmt)
+        raise AnalysisError(f"unknown statement {stmt!r}")
+
+    return count(program.body, {})
+
+
+def _check_budget(program: Program, var: Optional[str], budget: int) -> None:
+    """Raise :class:`EnumerationBudgetError` unless the walk fits ``budget``."""
+    if access_count(program, var, budget) > budget:
+        raise EnumerationBudgetError(
+            f"iteration space too large to certify (> {budget} accesses); "
+            "certify at a smaller size of the same kernel family"
+        )
+
+
 def loop_conflicts(
     program: Program, var: str, budget: int = MAX_CERTIFY_POINTS
 ) -> List[Conflict]:
@@ -204,18 +308,16 @@ def loop_conflicts(
     A conflict is two accesses to the same element from different values of
     ``var`` — at the *same* values of every enclosing loop, since distinct
     outer iterations open distinct parallel regions separated by the
-    implicit barrier — where at least one access is a write.
+    implicit barrier — where at least one access is a write.  Raises
+    :class:`EnumerationBudgetError` before walking anything when the walk
+    would count more than ``budget`` accesses.
     """
     find_loop(program.body, var)  # raises if the loop does not exist
-    enclosing = _enclosing_vars(program.body, var) or ()
-    accesses: List[Access] = []
-    env: Dict[str, int] = {}
-    # Walk the whole program so surrounding loops bind their variables too.
-    _accesses(program.body, env, var, accesses, [0], budget, enclosing)
+    _check_budget(program, var, budget)
 
     conflicts: List[Conflict] = []
     by_element: Dict[Tuple[str, Tuple[int, ...]], List[Access]] = {}
-    for access in accesses:
+    for access in _walk(program, var):
         by_element.setdefault((access.array, access.element), []).append(access)
     for (array, element), hits in by_element.items():
         if len(hits) < 2:
@@ -278,9 +380,12 @@ def execution_order_signature(
     element is preserved; for certification we compare the per-element
     write sequences and final values instead (see certify_interchange).
     """
-    accesses: List[Access] = []
-    _accesses(program.body, {}, None, accesses, [0], budget)
-    return [(a.array, a.element, a.is_write) for a in accesses]
+    _check_budget(program, None, budget)
+    return _signature(program)
+
+
+def _signature(program: Program) -> List[Tuple[str, Tuple[int, ...], bool]]:
+    return [(a.array, a.element, a.is_write) for a in _walk(program, None)]
 
 
 def certify_interchange(
@@ -300,13 +405,15 @@ def certify_interchange(
     from collections import Counter
 
     try:
-        before = execution_order_signature(original, budget)
-        after = execution_order_signature(transformed, budget)
+        _check_budget(original, None, budget)
+        _check_budget(transformed, None, budget)
     except EnumerationBudgetError:
         return (
             f"enumeration oracle skipped for {original.name!r}: iteration "
             f"space exceeds the {budget}-access budget"
         )
+    before = _signature(original)
+    after = _signature(transformed)
     if Counter(before) != Counter(after):
         missing = Counter(before) - Counter(after)
         extra = Counter(after) - Counter(before)

@@ -16,8 +16,8 @@ force so the result is always exact.
 
 from __future__ import annotations
 
-from math import comb
-from typing import Callable
+from math import comb, inf
+from typing import Callable, Dict
 
 MAX_DEGREE = 4
 
@@ -42,29 +42,59 @@ def sum_over_range(fn: Callable[[int], int], lo: int, hi: int, step: int = 1) ->
     """Exact ``sum(fn(v) for v in range(lo, hi, step))``, in O(degree) calls
     to ``fn`` when ``fn`` is polynomial of degree <= MAX_DEGREE.
     """
+    return capped_sum_over_range(fn, lo, hi, step, inf)
+
+
+def capped_sum_over_range(
+    fn: Callable[[int], int], lo: int, hi: int, step: int, cap: float
+) -> int:
+    """:func:`sum_over_range` of a non-negative ``fn`` that gives up early.
+
+    Exact when the sum is at most ``cap``; otherwise it returns as soon as
+    the running total of evaluated terms passes ``cap``, with that partial
+    total (so any result above ``cap`` only says "more than ``cap``").
+    Every ``fn`` value is computed once: the brute-force fallback re-uses
+    the probes of the failed fit.
+    """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if hi <= lo:
         return 0
     trips = (hi - lo + step - 1) // step
+    memo: Dict[int, int] = {}
+
+    def at(t: int) -> int:
+        value = memo.get(t)
+        if value is None:
+            value = memo[t] = fn(lo + t * step)
+        return value
+
     probe = min(trips, MAX_DEGREE + 2)
-    samples = [fn(lo + t * step) for t in range(probe)]
-    if trips <= MAX_DEGREE + 2:
-        return sum(samples)
+    total = 0
+    for t in range(probe):
+        total += at(t)
+        if total > cap:
+            return total
+    if trips == probe:
+        return total
     # Fit on the first MAX_DEGREE+1 samples; the extra sample and the very
     # last iteration validate the polynomial hypothesis.
-    fit = samples[: MAX_DEGREE + 1]
-    diffs = _forward_diffs(fit)
+    diffs = _forward_diffs([at(t) for t in range(MAX_DEGREE + 1)])
     last_t = trips - 1
-    if _eval_diffs(diffs, MAX_DEGREE + 1) != samples[MAX_DEGREE + 1]:
-        return sum(fn(lo + t * step) for t in range(trips))
-    if _eval_diffs(diffs, last_t) != fn(lo + last_t * step):
-        return sum(fn(lo + t * step) for t in range(trips))
-    total = diffs[0] * trips
-    c = trips
-    for k in range(1, len(diffs)):
-        c = c * (trips - k) // (k + 1)
-        total = total + diffs[k] * c
+    if (
+        _eval_diffs(diffs, MAX_DEGREE + 1) == at(MAX_DEGREE + 1)
+        and _eval_diffs(diffs, last_t) == at(last_t)
+    ):
+        total = diffs[0] * trips
+        c = trips
+        for k in range(1, len(diffs)):
+            c = c * (trips - k) // (k + 1)
+            total = total + diffs[k] * c
+        return total
+    for t in range(probe, trips):
+        total += at(t)
+        if total > cap:
+            break
     return total
 
 

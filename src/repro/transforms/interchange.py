@@ -13,7 +13,8 @@ legality — no dependence with a ``(<, >)`` direction at the swapped levels
 (:func:`repro.analysis.lint.symbolic.certify_interchange_symbolic`), with
 the access-multiset enumeration of
 ``repro.analysis.dependence.certify_interchange`` as a budget-limited
-cross-check oracle.
+cross-check oracle.  The budget is decided by a closed-form access count
+of both programs before either is enumerated.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The pass marks a loop parallel with a schedule.  Legality (no loop-carried
 dependence) is certified by default through the symbolic dependence engine
 (:func:`repro.analysis.dependence.certify_parallel`), which is size-generic
 and cheap; concrete enumeration cross-checks the proof when the iteration
-space fits the budget.  Opting out with ``certify=False`` no longer skips
+space fits the budget.  Whether it fits is decided by a closed-form access
+count before anything is enumerated, so building at figure sizes costs
+the same as at test sizes.  Opting out with ``certify=False`` no longer skips
 silently: the skip is recorded in ``program.meta`` and surfaces as an
 ``RPR005`` lint diagnostic.
 """
