@@ -21,7 +21,7 @@ from repro.errors import AnalysisError
 from repro.analysis.summation import MAX_DEGREE, _newton_eval, newton_sum
 from repro.ir.expr import BinOp, Cast, Const, Expr, IndexValue, Load, LocalRef
 from repro.ir.program import Program
-from repro.ir.stmt import Block, For, LocalAssign, Stmt, Store
+from repro.ir.stmt import Block, For, LocalAssign, Stmt, Store, walk_stmts
 
 
 @dataclass
@@ -118,8 +118,7 @@ def _count_stmt(stmt: Stmt, env: Dict[str, int]) -> OpCounts:
         lo = stmt.lo.evaluate(env)
         hi = stmt.hi.evaluate(env)
 
-        body_uses_var = _subtree_uses(stmt.body, stmt.var)
-        if not body_uses_var:
+        if not _bounds_use(stmt.body, stmt.var):
             trips = stmt.trip_count(env)
             if trips == 0:
                 return OpCounts()
@@ -213,24 +212,14 @@ def _sum_counts_over_range(counts_at, lo: int, hi: int, step: int) -> OpCounts:
     return OpCounts(*totals)
 
 
-def _subtree_uses(stmt: Stmt, var: str) -> bool:
-    from repro.ir.stmt import walk_stmts
-    from repro.ir.expr import walk_expr
-
-    for node in walk_stmts(stmt):
-        if isinstance(node, For):
-            if var in node.lo.variables or var in node.hi.variables:
-                return True
-        if isinstance(node, Store):
-            if any(var in ix.variables for ix in node.indices):
-                return True
-        if hasattr(node, "value"):
-            for sub in walk_expr(node.value):
-                if isinstance(sub, Load) and any(var in ix.variables for ix in sub.indices):
-                    return True
-                if isinstance(sub, IndexValue) and var in sub.affine.variables:
-                    return True
-    return False
+def _bounds_use(stmt: Stmt, var: str) -> bool:
+    """Does a loop bound inside ``stmt`` mention ``var``?  Operation counts
+    depend on an enclosing loop variable only through nested trip counts
+    (array indices change which elements are touched, not how many)."""
+    return any(
+        isinstance(node, For) and (var in node.lo.variables or var in node.hi.variables)
+        for node in walk_stmts(stmt)
+    )
 
 
 def count_program(program: Program) -> OpCounts:

@@ -5,6 +5,11 @@ Traces are streams of *segments*, not per-element events: a segment
 execution of one array reference — ``count`` accesses of ``elem_size``
 bytes, starting at byte address ``base``, ``stride`` bytes apart.
 
+The trace generator emits a core's stream as :class:`SegmentBatch`
+column batches — consecutive segments as six NumPy columns — which the
+replay engines take whole (``process_batch``); a :class:`Segment` is
+the per-segment view of one row (:meth:`SegmentBatch.segments`).
+
 Compressing the trace this way is what makes pure-Python simulation of
 multi-megabyte working sets tractable: the cache models consume *distinct
 cache lines* per segment (a 512-element unit-stride f64 segment is 64 line
@@ -14,7 +19,10 @@ touches, not 512 events), while op counts are tracked exactly on the side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from itertools import starmap
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from repro.analysis.opcount import OpCounts
 
@@ -122,6 +130,46 @@ class Segment(NamedTuple):
                 return None  # every access straddles a boundary
             return LineRun(self.base // line_size, self.stride // line_size, self.count)
         return None  # drifting walk: lines repeat/skip irregularly
+
+
+class SegmentBatch:
+    """Consecutive segments of one stream as NumPy columns, one entry per
+    segment: ``ref``, ``base``, ``stride``, ``count``, ``is_write`` (0/1)
+    and ``elem_size``, all int64."""
+
+    __slots__ = ("ref", "base", "stride", "count", "is_write", "elem_size")
+
+    def __init__(self, ref, base, stride, count, is_write, elem_size):
+        self.ref = ref
+        self.base = base
+        self.stride = stride
+        self.count = count
+        self.is_write = is_write
+        self.elem_size = elem_size
+
+    @classmethod
+    def from_segments(cls, segments: Iterable[Segment]) -> "SegmentBatch":
+        segs = list(segments)
+        n = len(segs)
+        return cls(*(
+            np.fromiter((seg[field] for seg in segs), np.int64, n) for field in range(6)
+        ))
+
+    def __len__(self) -> int:
+        return len(self.ref)
+
+    def __getitem__(self, index) -> "SegmentBatch":
+        """The segments at ``index`` (a slice or a boolean/index array)."""
+        return SegmentBatch(*(column[index] for column in self.columns()))
+
+    def columns(self):
+        return (self.ref, self.base, self.stride, self.count, self.is_write, self.elem_size)
+
+    def segments(self) -> Iterator[Segment]:
+        return starmap(Segment, zip(
+            self.ref.tolist(), self.base.tolist(), self.stride.tolist(),
+            self.count.tolist(), (self.is_write != 0).tolist(), self.elem_size.tolist(),
+        ))
 
 
 class Reference(NamedTuple):

@@ -41,7 +41,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.exec.trace import Segment
+from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim.cache import CacheStats, set_mask
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
@@ -1131,10 +1131,11 @@ class NativeHierarchy(MemoryHierarchy):
     """Memory hierarchy driving the compiled replay core.
 
     Same construction contract, counters, flush and snapshot behaviour
-    as the exact hierarchy; segments small
-    enough to buffer are concatenated into cross-segment op batches with
-    per-segment TLB/PMU bookkeeping deferred to the (order-preserving)
-    drain, so the per-segment Python overhead is a few appends.
+    as the exact hierarchy.  Column batches (:meth:`process_batch`) and
+    single segments are buffered until about ``_BUF_OPS`` ops are
+    pending, then drained as one cross-segment op batch with per-segment
+    TLB/PMU bookkeeping done in the (order-preserving) drain, so a
+    generated batch never becomes ``Segment`` objects.
     """
 
     def __init__(
@@ -1148,6 +1149,9 @@ class NativeHierarchy(MemoryHierarchy):
         if tlb is not None:
             self.tlb = NativeTlb(tlb)
         self._pmu_states: List[object] = [None] * len(self.caches)
+        # Pending work: column batches, then single segments (folded into
+        # a batch before anything is appended after them).
+        self._buf_batches: List[SegmentBatch] = []
         self._buf_segs: List[Segment] = []
         self._buf_ops = 0
         # Cross-segment prefetch stream table, owned here so the compiled
@@ -1164,6 +1168,7 @@ class NativeHierarchy(MemoryHierarchy):
     # -- buffer management ---------------------------------------------------
 
     def _clear_buffers(self) -> None:
+        self._buf_batches = []
         self._buf_segs = []
         self._buf_ops = 0
         self._pf_n[0] = 0
@@ -1200,23 +1205,53 @@ class NativeHierarchy(MemoryHierarchy):
         if self._buf_ops >= _BUF_OPS:
             self._drain_buffer()
 
+    def process_batch(self, batch: SegmentBatch) -> None:
+        """Queue a column batch.  It is drained at the same op-count cuts
+        as the same segments fed one by one through
+        :meth:`process_segment`, without building ``Segment`` objects."""
+        count = batch.count
+        if len(count) and count.min() <= 0:
+            batch = batch[count > 0]
+            count = batch.count
+        n = len(count)
+        if not n:
+            return
+        self._fold_segments()
+        ends = np.cumsum(count)
+        start = done = 0
+        while start < n:
+            cut = int(np.searchsorted(ends, done + _BUF_OPS - self._buf_ops))
+            if cut >= n:
+                self._buf_batches.append(batch[start:])
+                self._buf_ops += int(ends[-1]) - done
+                return
+            self._buf_batches.append(batch[start : cut + 1])
+            self._drain_buffer()
+            start, done = cut + 1, int(ends[cut])
+
+    def _fold_segments(self) -> None:
+        if self._buf_segs:
+            self._buf_batches.append(SegmentBatch.from_segments(self._buf_segs))
+            self._buf_segs = []
+
     # -- deferred replay -----------------------------------------------------
 
     def _drain_buffer(self) -> None:
-        segs = self._buf_segs
-        if not segs:
+        self._fold_segments()
+        batches = self._buf_batches
+        if not batches:
             return
-        self._buf_segs = []
+        self._buf_batches = []
         self._buf_ops = 0
-        nseg = len(segs)
+        if len(batches) == 1:
+            refs, base, stride, count, write, elem = batches[0].columns()
+        else:
+            refs, base, stride, count, write, elem = (
+                np.concatenate(column) for column in zip(*(b.columns() for b in batches))
+            )
+        write = write.astype(np.uint8)
+        nseg = len(refs)
         lib = _lib
-
-        base = np.fromiter((s.base for s in segs), np.int64, nseg)
-        stride = np.fromiter((s.stride for s in segs), np.int64, nseg)
-        count = np.fromiter((s.count for s in segs), np.int64, nseg)
-        elem = np.fromiter((s.elem_size for s in segs), np.int64, nseg)
-        write = np.fromiter((s.is_write for s in segs), np.uint8, nseg)
-        refs = np.fromiter((s.ref for s in segs), np.int64, nseg)
 
         # Line/page expansion: measure, prefix-sum, fill.
         tlb_on = 1 if self.tlb is not None else 0

@@ -250,7 +250,7 @@ class Tracer:
         return ctx.trace_id, new_span_id(), parent or ctx.span_id
 
     @contextmanager
-    def span(self, name: str, cat: str = "", **args: Any) -> Iterator[None]:
+    def span(self, name: str, cat: str = "", **args: Any) -> Iterator[Dict[str, Any]]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -259,7 +259,7 @@ class Tracer:
         stack.append((name, span_id))
         depth = len(stack) - 1
         try:
-            yield
+            yield args  # the caller may add args while the span is open
         finally:
             end = time.perf_counter()
             stack.pop()
@@ -631,7 +631,10 @@ def current() -> Optional[Tracer]:
 
 
 def span(name: str, cat: str = "", **args: Any):
-    """Record a span on the installed tracer (no-op when tracing is off)."""
+    """Record a span on the installed tracer (no-op when tracing is off).
+
+    ``with span(...) as args`` binds the span's args dict, which the body
+    may extend, or ``None`` when tracing is off."""
     tracer = _CURRENT
     if tracer is None:
         return _NULL_SPAN

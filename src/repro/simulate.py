@@ -15,13 +15,14 @@ benchmark, which reports the best of many repetitions of a warm loop).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.opcount import OpCounts
 from repro.devices.spec import DeviceSpec
 from repro.errors import SimulationError
-from repro.exec.trace import CoreWork, RefInfo
+from repro.exec.trace import CoreWork, RefInfo, SegmentBatch
 from repro.exec.tracegen import TraceGenerator
 from repro.ir.program import Program
 from repro.ir.stmt import For, walk_stmts
@@ -85,6 +86,25 @@ class SimulationResult:
             "achieved_dram_gbs": self.achieved_dram_gbs,
             "flops": float(self.total_ops.flops),
         }
+
+
+def _replay(batches: Iterator[SegmentBatch], hierarchy) -> Tuple[float, float]:
+    """Replay a core's batches as they are generated; (tracegen, replay)
+    seconds, summed over the batches."""
+    clock = time.perf_counter
+    tracegen_s = replay_s = 0.0
+    mark = clock()
+    for batch in batches:
+        ready = clock()
+        tracegen_s += ready - mark
+        hierarchy.process_batch(batch)
+        mark = clock()
+        replay_s += mark - ready
+    ready = clock()
+    tracegen_s += ready - mark
+    hierarchy.drain()
+    replay_s += clock() - ready
+    return tracegen_s, replay_s
 
 
 def simulate(
@@ -169,16 +189,17 @@ def simulate(
                 baselines = [snapshot(h) for h in hierarchies]
                 works = [CoreWork() for _ in range(active_cores)]
             for core, hierarchy in enumerate(hierarchies):
-                run = hierarchy.process_segment
-                # Trace generation and cache simulation are one pipeline:
-                # the span covers both (segments are consumed as emitted).
+                # Trace generation and cache simulation are one pipeline
+                # (batches are replayed as they are generated): the span
+                # covers both and its args split the time between them.
                 with tracer.span(
                     "trace+memsim", cat="memsim", core=core, repetition=rep
-                ):
-                    for seg in generator.core_stream(core):
-                        run(seg)
-                    hierarchy.drain()
-            # ``core_stream`` resets ``generator.work[core]`` on entry, so
+                ) as span_args:
+                    tracegen_s, replay_s = _replay(generator.core_batches(core), hierarchy)
+                    if span_args is not None:
+                        span_args["tracegen_s"] = tracegen_s
+                        span_args["replay_s"] = replay_s
+            # ``core_batches`` resets ``generator.work[core]`` on entry, so
             # after the loop it holds exactly this repetition's counts;
             # accumulate so ``works`` always matches the snapshot deltas.
             works = [acc.merge(one) for acc, one in zip(works, generator.work)]
